@@ -250,3 +250,63 @@ fn ontologies_installed_and_perf_agents_collect() {
     // minimum the counter plumbing must be alive (non-panicking).
     let _ = report.threshold_breaches;
 }
+
+/// FNV-1a over the run's observable outputs: the `ScenarioReport`, the
+/// ledger totals and the SLO report. A pure optimisation of the
+/// simulator must leave this value unchanged for a fixed seed.
+fn tape_digest(w: &World) -> u64 {
+    let horizon = w.cfg.horizon;
+    let report = w.report(SimTime::ZERO + horizon);
+    let closed: Vec<_> = w
+        .ledger
+        .incidents()
+        .filter(|i| i.restored.is_some())
+        .collect();
+    let secs: u64 = closed
+        .iter()
+        .filter_map(|i| i.downtime())
+        .map(|d| d.as_secs())
+        .sum();
+    let text = format!(
+        "{report:?}\nledger closed={} secs={secs} open={}\n{}",
+        closed.len(),
+        w.ledger.open_incidents().len(),
+        w.slo.report(horizon).to_json()
+    );
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn run_for(mut cfg: ScenarioConfig, horizon: SimDuration) -> World {
+    cfg.horizon = horizon;
+    let mut w = World::build(cfg);
+    w.run_until(SimTime::ZERO + horizon);
+    w
+}
+
+/// A small-site seed whose 30-day manual run injects two `DiskFill`s.
+const DISK_FILL_SEED: u64 = 2;
+
+/// The simulation tape, pinned: one day of the full site under agents
+/// and a month of the small site under manual operations.
+#[test]
+fn tape_is_pinned() {
+    let site = run_for(
+        ScenarioConfig::financial_site(1, ManagementMode::Intelliagents),
+        SimDuration::from_days(1),
+    );
+    let manual = run_for(
+        ScenarioConfig::small(DISK_FILL_SEED, ManagementMode::ManualOps),
+        SimDuration::from_days(30),
+    );
+    assert!(
+        manual
+            .ledger
+            .incidents()
+            .any(|i| i.description.starts_with("DiskFill")),
+        "seed {DISK_FILL_SEED} no longer injects a DiskFill"
+    );
+    assert_eq!(format!("{:016x}", tape_digest(&site)), "bb94c36034da2d41");
+    assert_eq!(format!("{:016x}", tape_digest(&manual)), "283d668100803bab");
+}
