@@ -8,7 +8,9 @@
 //! *real* fault the resource agents must detect (from a failed write)
 //! and heal (by rotating old logs).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use intelliqos_simkern::SimTime;
 
@@ -52,7 +54,7 @@ pub struct SimFile {
 impl SimFile {
     /// Total size in bytes (each line plus one newline).
     pub fn size_bytes(&self) -> u64 {
-        self.lines.iter().map(|l| l.len() as u64 + 1).sum()
+        lines_size(&self.lines)
     }
 }
 
@@ -129,17 +131,6 @@ impl SimFs {
             .map(|(mp, m)| (mp.as_str(), m))
     }
 
-    fn mount_for_mut(&mut self, path: &str) -> Option<(String, &mut Mount)> {
-        let key = self
-            .mounts
-            .keys()
-            .filter(|mp| covers(mp, path))
-            .max_by_key(|mp| mp.len())
-            .cloned()?;
-        let m = self.mounts.get_mut(&key)?;
-        Some((key, m))
-    }
-
     /// Usage fraction (0–1) of the filesystem covering `path`.
     pub fn usage_fraction(&self, path: &str) -> Option<f64> {
         self.mount_for(path)
@@ -154,28 +145,72 @@ impl SimFs {
         now: SimTime,
     ) -> Result<(), FsError> {
         let path = normalize(path.into());
-        let new_size: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
-        let old_size = self.files.get(&path).map(|f| f.size_bytes()).unwrap_or(0);
-        let (_, mount) = self
-            .mount_for_mut(&path)
-            .ok_or_else(|| FsError::NoSuchMount(path.clone()))?;
+        let new_size = lines_size(&lines);
+        let old = self.files.get_mut(&path);
+        let Some(mount) = mount_covering(&mut self.mounts, &path) else {
+            return Err(FsError::NoSuchMount(path));
+        };
         if !mount.mounted {
             return Err(FsError::NotMounted(path));
         }
+        let old_size = old.as_ref().map_or(0, |f| f.size_bytes());
         let projected = mount.used_bytes - old_size + new_size;
         if projected > mount.capacity_bytes {
             return Err(FsError::NoSpace(path));
         }
         mount.used_bytes = projected;
-        let created_at = self.files.get(&path).map(|f| f.created_at).unwrap_or(now);
-        self.files.insert(
-            path,
-            SimFile {
-                lines,
-                created_at,
-                modified_at: now,
-            },
-        );
+        match old {
+            Some(file) => {
+                file.lines = lines;
+                file.modified_at = now;
+            }
+            None => {
+                self.files.insert(
+                    path,
+                    SimFile {
+                        lines,
+                        created_at: now,
+                        modified_at: now,
+                    },
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// One step of a circular log kept on disk: append `line` to the
+    /// existing file at `path`, then drop its oldest lines until it
+    /// holds at most `max_lines` (never fewer than the new line). Space
+    /// is accounted exactly as a [`SimFs::write`] of the resulting lines
+    /// would account it, and a failed call changes nothing. A missing
+    /// file is `NotFound`.
+    pub fn push_rotating(
+        &mut self,
+        path: &str,
+        line: String,
+        max_lines: usize,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        let path = normalized(path);
+        let Some(mount) = mount_covering(&mut self.mounts, &path) else {
+            return Err(FsError::NoSuchMount(path.into_owned()));
+        };
+        if !mount.mounted {
+            return Err(FsError::NotMounted(path.into_owned()));
+        }
+        let Some(file) = self.files.get_mut(path.as_ref()) else {
+            return Err(FsError::NotFound(path.into_owned()));
+        };
+        let dropped = (file.lines.len() + 1).saturating_sub(max_lines.max(1));
+        let freed = lines_size(&file.lines[..dropped]);
+        let projected = mount.used_bytes - freed + line.len() as u64 + 1;
+        if projected > mount.capacity_bytes {
+            return Err(FsError::NoSpace(path.into_owned()));
+        }
+        mount.used_bytes = projected;
+        file.lines.push(line);
+        file.lines.drain(..dropped);
+        file.modified_at = now;
         Ok(())
     }
 
@@ -189,9 +224,9 @@ impl SimFs {
         let path = normalize(path.into());
         let line = line.into();
         let add = line.len() as u64 + 1;
-        let (_, mount) = self
-            .mount_for_mut(&path)
-            .ok_or_else(|| FsError::NoSuchMount(path.clone()))?;
+        let Some(mount) = mount_covering(&mut self.mounts, &path) else {
+            return Err(FsError::NoSuchMount(path));
+        };
         if !mount.mounted {
             return Err(FsError::NotMounted(path));
         }
@@ -211,13 +246,15 @@ impl SimFs {
 
     /// Read a file.
     pub fn read(&self, path: &str) -> Result<&SimFile, FsError> {
-        let path = normalize(path.to_string());
+        let path = normalized(path);
         if let Some((_, m)) = self.mount_for(&path) {
             if !m.mounted {
-                return Err(FsError::NotMounted(path));
+                return Err(FsError::NotMounted(path.into_owned()));
             }
         }
-        self.files.get(&path).ok_or(FsError::NotFound(path))
+        self.files
+            .get(path.as_ref())
+            .ok_or_else(|| FsError::NotFound(path.into_owned()))
     }
 
     /// Does the path exist (and its filesystem is mounted)?
@@ -227,42 +264,77 @@ impl SimFs {
 
     /// Remove a file, freeing its space. Returns the removed file.
     pub fn remove(&mut self, path: &str) -> Result<SimFile, FsError> {
-        let path = normalize(path.to_string());
+        let path = normalized(path);
         let file = self
             .files
-            .remove(&path)
-            .ok_or_else(|| FsError::NotFound(path.clone()))?;
-        if let Some((_, m)) = self.mount_for_mut(&path) {
+            .remove(path.as_ref())
+            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
+        if let Some(m) = mount_covering(&mut self.mounts, &path) {
             m.used_bytes = m.used_bytes.saturating_sub(file.size_bytes());
         }
         Ok(file)
     }
 
+    /// Paths under a directory prefix (recursive), in key order: the
+    /// file named `dir` itself, then every `dir/…` path. An ordered range
+    /// scan from `dir/`, not a pass over every file. Siblings such as
+    /// `dir-x` or `dir.x` sort between `dir` and `dir/` (`-` and `.`
+    /// come before `/`), so they are stepped over, never listed.
+    fn under<'a>(&'a self, dir: &str) -> impl Iterator<Item = &'a String> + 'a {
+        let dir = normalized(dir);
+        let (own, prefix) = if dir == "/" {
+            (None, String::from("/"))
+        } else {
+            let own = self.files.get_key_value(dir.as_ref()).map(|(k, _)| k);
+            (own, format!("{dir}/"))
+        };
+        let nested = self
+            .files
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .map(|(k, _)| k)
+            .take_while(move |k| k.starts_with(prefix.as_str()));
+        own.into_iter().chain(nested)
+    }
+
     /// List paths under a directory prefix (recursive), sorted.
     pub fn list(&self, dir: &str) -> Vec<&str> {
-        let dir = normalize(dir.to_string());
-        self.files
-            .keys()
-            .filter(|p| covers(&dir, p))
-            .map(|s| s.as_str())
-            .collect()
+        self.under(dir).map(|s| s.as_str()).collect()
     }
 
     /// Remove every file under a directory prefix; returns the count.
     /// This is the agents' self-maintenance "remove flags from previous
     /// runs and old local dynamic service profiles".
     pub fn remove_dir(&mut self, dir: &str) -> usize {
-        let paths: Vec<String> = self.list(dir).iter().map(|s| s.to_string()).collect();
-        for p in &paths {
+        let doomed: Vec<String> = self.under(dir).cloned().collect();
+        for p in &doomed {
             let _ = self.remove(p);
         }
-        paths.len()
+        doomed.len()
     }
 
     /// Total bytes used on the filesystem covering `path`.
     pub fn used_bytes(&self, path: &str) -> Option<u64> {
         self.mount_for(path).map(|(_, m)| m.used_bytes)
     }
+}
+
+/// The longest mount-point prefix covering `path`, for update. A free
+/// function over the mount table so callers can hold a file borrowed
+/// at the same time.
+fn mount_covering<'a>(
+    mounts: &'a mut BTreeMap<String, Mount>,
+    path: &str,
+) -> Option<&'a mut Mount> {
+    mounts
+        .iter_mut()
+        .filter(|(mp, _)| covers(mp, path))
+        .max_by_key(|(mp, _)| mp.len())
+        .map(|(_, m)| m)
+}
+
+/// Bytes the lines take on disk (each plus one newline).
+fn lines_size(lines: &[String]) -> u64 {
+    lines.iter().map(|l| l.len() as u64 + 1).sum()
 }
 
 /// Normalise: ensure a single leading slash, strip any trailing slash
@@ -275,6 +347,16 @@ fn normalize(mut p: String) -> String {
         p.pop();
     }
     p
+}
+
+/// [`normalize`] without allocating when `p` is already normal, as
+/// nearly every path on the agents' hot path is.
+fn normalized(p: &str) -> Cow<'_, str> {
+    if p.starts_with('/') && (p.len() == 1 || !p.ends_with('/')) {
+        Cow::Borrowed(p)
+    } else {
+        Cow::Owned(normalize(p.to_string()))
+    }
 }
 
 /// Does directory/mount `prefix` cover `path`? (Allocation-free: this
@@ -293,6 +375,7 @@ fn covers(prefix: &str, path: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use intelliqos_simkern::SimRng;
 
     fn t0() -> SimTime {
         SimTime::ZERO
@@ -409,6 +492,101 @@ mod tests {
         assert_eq!(fs.list("/logs/intelliagents/cpu").len(), 2);
         assert_eq!(fs.remove_dir("/logs/intelliagents/cpu"), 2);
         assert_eq!(fs.list("/logs/intelliagents").len(), 2);
+    }
+
+    #[test]
+    fn range_scans_match_a_full_key_filter() {
+        // Sibling names that sort next to `cpu` on either side of `/`.
+        const NAMES: [&str; 6] = ["cpu", "cpu-x", "cpu.x", "cpu2", "net", "a"];
+        const ROOTS: [&str; 4] = ["", "/logs", "/apps", "/logs/ia"];
+        fn path(rng: &mut SimRng, depth: usize) -> String {
+            let mut p = ROOTS[rng.index(ROOTS.len())].to_string();
+            for _ in 0..depth {
+                p.push('/');
+                p.push_str(NAMES[rng.index(NAMES.len())]);
+            }
+            p
+        }
+        for trial in 0..300 {
+            let mut rng = SimRng::stream(trial, "fs-range-scan");
+            let mut fs = SimFs::with_standard_layout();
+            for _ in 0..rng.uniform_u64(0, 60) {
+                let depth = 1 + rng.index(3);
+                let p = path(&mut rng, depth);
+                let body = "x".repeat(rng.index(30));
+                fs.append(p, body, t0()).unwrap();
+            }
+            let depth = rng.index(3);
+            let mut dir = path(&mut rng, depth);
+            if rng.chance(0.3) {
+                dir.push('/'); // e.g. `cpu/`
+            }
+            let norm = normalize(dir.clone());
+            let naive: Vec<String> = fs
+                .files
+                .keys()
+                .filter(|p| covers(&norm, p))
+                .cloned()
+                .collect();
+            assert_eq!(fs.list(&dir), naive, "trial {trial}, dir {dir}");
+            assert_eq!(fs.remove_dir(&dir), naive.len(), "trial {trial}");
+            assert!(naive.iter().all(|p| !fs.files.contains_key(p)));
+            for (mp, m) in &fs.mounts {
+                let expect: u64 = fs
+                    .files
+                    .iter()
+                    .filter(|(p, _)| fs.mount_for(p).map(|(k, _)| k) == Some(mp.as_str()))
+                    .map(|(_, f)| f.size_bytes())
+                    .sum();
+                assert_eq!(m.used_bytes, expect, "trial {trial}, mount {mp}");
+            }
+        }
+    }
+
+    #[test]
+    fn push_rotating_accounts_like_a_rewrite() {
+        let lines = |r: std::ops::Range<u32>| -> Vec<String> {
+            r.map(|i| format!("t={i} {}", "v".repeat(i as usize % 7)))
+                .collect()
+        };
+        let mut a = SimFs::new();
+        a.add_mount("/logs", 200);
+        let mut b = a.clone();
+        a.write("/logs/perf", lines(0..1), t0()).unwrap();
+        b.write("/logs/perf", lines(0..1), t0()).unwrap();
+        for i in 1..12u32 {
+            let now = SimTime::from_secs(i as u64);
+            a.push_rotating("/logs/perf", lines(i..i + 1).remove(0), 4, now)
+                .unwrap();
+            b.write("/logs/perf", lines(i.saturating_sub(3)..i + 1), now)
+                .unwrap();
+            assert_eq!(
+                a.read("/logs/perf").unwrap().lines,
+                b.read("/logs/perf").unwrap().lines
+            );
+            assert_eq!(a.used_bytes("/logs"), b.used_bytes("/logs"));
+        }
+        assert_eq!(a.read("/logs/perf").unwrap().created_at, t0());
+        // A push that does not fit changes nothing.
+        a.append("/logs/filler", "f".repeat(140), t0()).unwrap();
+        let before = a.read("/logs/perf").unwrap().lines.clone();
+        let used = a.used_bytes("/logs");
+        let long = "z".repeat(80);
+        assert!(matches!(
+            a.push_rotating("/logs/perf", long, 4, t0()),
+            Err(FsError::NoSpace(_))
+        ));
+        assert_eq!(a.read("/logs/perf").unwrap().lines, before);
+        assert_eq!(a.used_bytes("/logs"), used);
+        assert!(matches!(
+            a.push_rotating("/logs/ghost", "x".into(), 4, t0()),
+            Err(FsError::NotFound(_))
+        ));
+        a.set_mounted("/logs", false);
+        assert!(matches!(
+            a.push_rotating("/logs/perf", "x".into(), 4, t0()),
+            Err(FsError::NotMounted(_))
+        ));
     }
 
     #[test]

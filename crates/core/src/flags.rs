@@ -12,6 +12,8 @@
 //! servers watch flag freshness; agents clean their own old flags
 //! (self-maintenance).
 
+use std::fmt::Write as _;
+
 use intelliqos_cluster::fs::SimFs;
 use intelliqos_simkern::SimTime;
 
@@ -89,22 +91,23 @@ pub fn write_flag(
     detail: Option<&str>,
     now: SimTime,
 ) -> Result<(), intelliqos_cluster::fs::FsError> {
-    let mut name = format!("run_{}.{}", now.as_secs(), outcome.suffix());
+    let mut path = String::with_capacity(FLAG_ROOT.len() + agent.len() + 48);
+    let _ = write!(
+        path,
+        "{FLAG_ROOT}/{agent}/run_{}.{}",
+        now.as_secs(),
+        outcome.suffix()
+    );
     if let Some(d) = detail {
-        let clean: String = d
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        name.push('.');
-        name.push_str(&clean);
+        path.push('.');
+        path.extend(d.chars().map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        }));
     }
-    let path = format!("{}/{}", agent_dir(agent), name);
     fs.write(path, vec![format!("at={}", now.as_secs())], now)
 }
 
@@ -143,7 +146,8 @@ pub fn last_run_secs(fs: &SimFs, agent: &str) -> Option<u64> {
 }
 
 /// Self-maintenance: remove all previous flags of an agent ("it removes
-/// flags from previous runs"). Returns how many were removed.
+/// flags from previous runs"), by an ordered range scan of the agent's
+/// directory. Returns how many were removed.
 pub fn clear_flags(fs: &mut SimFs, agent: &str) -> usize {
     fs.remove_dir(&agent_dir(agent))
 }

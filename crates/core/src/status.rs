@@ -16,7 +16,7 @@ use intelliqos_ontology::dlsp::{Dlsp, DlspService};
 use intelliqos_services::probe::{probe, ProbeResult};
 use intelliqos_services::registry::ServiceRegistry;
 
-use crate::agents::AgentKind;
+use crate::agents::{AgentKind, AgentParts};
 use crate::flags::{clear_flags, write_flag, FlagOutcome};
 
 /// Where a server's freshest DLSP lives on its local disk.
@@ -24,15 +24,33 @@ pub fn dlsp_path(hostname: &str) -> String {
     format!("/logs/intelliagents/dlsp/{hostname}.dlsp")
 }
 
-/// Compile the DLSP for one server: observe the OS, probe every hosted
-/// service, and write the flat-ASCII profile to the local disk.
+/// Compile the DLSP for one server with every agent part active: see
+/// [`run_status_agent_with`].
 pub fn run_status_agent(
     server: &mut Server,
     registry: &ServiceRegistry,
     rng: &mut SimRng,
     now: SimTime,
 ) -> Dlsp {
-    clear_flags(&mut server.fs, AgentKind::Status.name());
+    run_status_agent_with(server, registry, AgentParts::all(), rng, now).0
+}
+
+/// Compile the DLSP for one server: observe the OS, probe every hosted
+/// service, and write the flat-ASCII profile to the local disk. Old
+/// status flags are cleared under self-maintenance and the run's flag
+/// written under communication, as for every other agent. Returns the
+/// profile with its document lines, rendered once for the local disk so
+/// the same lines can be shipped to the shared pool.
+pub fn run_status_agent_with(
+    server: &mut Server,
+    registry: &ServiceRegistry,
+    parts: AgentParts,
+    rng: &mut SimRng,
+    now: SimTime,
+) -> (Dlsp, Vec<String>) {
+    if parts.self_maintenance {
+        clear_flags(&mut server.fs, AgentKind::Status.name());
+    }
     let obs = server.observe(rng);
     let (load_score, free_mem_mb, cpu_idle_pct) = match &obs {
         Some(o) => (o.load_score(), o.free_mem_mb, o.cpu_idle_pct),
@@ -59,7 +77,7 @@ pub fn run_status_agent(
     let dlsp = Dlsp {
         hostname: server.hostname.clone(),
         generated_at_secs: now.as_secs(),
-        model: spec.model.to_string(),
+        model: spec.model.name().to_string(),
         os: server.os().to_string(),
         cpus: spec.cpus,
         ram_gb: spec.ram_gb,
@@ -71,24 +89,26 @@ pub fn run_status_agent(
         site: server.site.name.clone(),
         services,
     };
-    // Self-maintenance: replace the previous profile ("removes … old
-    // local dynamic service profiles").
+    // Replace the previous profile ("removes … old local dynamic
+    // service profiles").
+    let lines = dlsp.to_doc().to_lines();
     let _ = server
         .fs
-        .write(dlsp_path(&server.hostname), dlsp.to_doc().to_lines(), now);
-    let all_ok = dlsp.all_services_running();
-    let _ = write_flag(
-        &mut server.fs,
-        AgentKind::Status.name(),
-        if all_ok {
-            FlagOutcome::Ok
-        } else {
-            FlagOutcome::FaultDetected
-        },
-        None,
-        now,
-    );
-    dlsp
+        .write(dlsp_path(&server.hostname), lines.clone(), now);
+    if parts.communication {
+        let _ = write_flag(
+            &mut server.fs,
+            AgentKind::Status.name(),
+            if dlsp.all_services_running() {
+                FlagOutcome::Ok
+            } else {
+                FlagOutcome::FaultDetected
+            },
+            None,
+            now,
+        );
+    }
+    (dlsp, lines)
 }
 
 #[cfg(test)]
@@ -170,5 +190,37 @@ mod tests {
         let dlsp = run_status_agent(&mut server, &reg, &mut rng, SimTime::from_mins(15));
         assert_eq!(dlsp.load_score, 1.5);
         assert_eq!(dlsp.services[0].status, "timeout");
+    }
+
+    #[test]
+    fn flags_follow_the_agent_parts() {
+        let (mut server, reg) = setup();
+        let mut rng = SimRng::stream(2, "status");
+        let count =
+            |server: &Server| crate::flags::read_flags(&server.fs, "intelliagent_status").len();
+        let keep = AgentParts {
+            self_maintenance: false,
+            ..AgentParts::all()
+        };
+        for m in [15, 30] {
+            run_status_agent_with(&mut server, &reg, keep, &mut rng, SimTime::from_mins(m));
+        }
+        assert_eq!(count(&server), 2);
+        let (dlsp, lines) = run_status_agent_with(
+            &mut server,
+            &reg,
+            AgentParts::all(),
+            &mut rng,
+            SimTime::from_mins(45),
+        );
+        assert_eq!(count(&server), 1);
+        assert_eq!(lines, dlsp.to_doc().to_lines());
+        assert_eq!(server.fs.read(&dlsp_path("db000")).unwrap().lines, lines);
+        let silent = AgentParts {
+            communication: false,
+            ..AgentParts::all()
+        };
+        run_status_agent_with(&mut server, &reg, silent, &mut rng, SimTime::from_mins(60));
+        assert_eq!(count(&server), 0);
     }
 }

@@ -50,7 +50,7 @@ use crate::ontogen;
 use crate::resched::DgsplSelector;
 use crate::scenario::{ManagementMode, ReschedPolicy, ScenarioConfig, ScenarioReport};
 use crate::slo::SloTracker;
-use crate::status::run_status_agent;
+use crate::status::run_status_agent_with;
 
 use intelliqos_ontology::constraint::ConstraintStore;
 use intelliqos_telemetry::collector::PerfCollector;
@@ -2005,9 +2005,15 @@ impl World {
                     continue;
                 }
                 let t_status = self.profiler.start();
-                let dlsp = {
+                let (dlsp, lines) = {
                     let server = self.servers.get_mut(&sid).expect("host exists");
-                    run_status_agent(server, &self.registry, &mut self.rng_probe, now)
+                    run_status_agent_with(
+                        server,
+                        &self.registry,
+                        self.cfg.agent_parts,
+                        &mut self.rng_probe,
+                        now,
+                    )
                 };
                 self.profiler.record("sweep.status", t_status);
                 // Ship over the agent network (private preferred,
@@ -2018,7 +2024,7 @@ impl World {
                 let _ =
                     self.fabric
                         .transmit(sid, admin_host, bytes, SegmentKind::PrivateAgent, now);
-                self.admin.ingest_dlsp(dlsp, now);
+                self.admin.ingest_dlsp(dlsp, lines, now);
             }
             let t_gen = self.profiler.start();
             let dgspl =
@@ -2026,7 +2032,7 @@ impl World {
                     .generate_dgspl(now, self.cfg.dgspl_period.times(2), |model, cpus| {
                         ServerModel::ALL
                             .iter()
-                            .find(|m| m.to_string() == model)
+                            .find(|m| m.name() == model)
                             .map(|m| m.cpu_power() * cpus as f64)
                             .unwrap_or(cpus as f64 * 0.5)
                     });
@@ -2093,17 +2099,23 @@ impl World {
                 let server = self.servers.get_mut(&sid).expect("host exists");
                 let collector = self.perf.get_mut(&sid).expect("collector exists");
                 let breaches = collector.ingest(&snapshot, server, now);
-                let _ = crate::flags::write_flag(
-                    &mut server.fs,
-                    crate::agents::AgentKind::Performance.name(),
-                    if breaches.is_empty() {
-                        crate::flags::FlagOutcome::Ok
-                    } else {
-                        crate::flags::FlagOutcome::FaultDetected
-                    },
-                    None,
-                    now,
-                );
+                let agent = crate::agents::AgentKind::Performance.name();
+                if self.cfg.agent_parts.self_maintenance {
+                    crate::flags::clear_flags(&mut server.fs, agent);
+                }
+                if self.cfg.agent_parts.communication {
+                    let _ = crate::flags::write_flag(
+                        &mut server.fs,
+                        agent,
+                        if breaches.is_empty() {
+                            crate::flags::FlagOutcome::Ok
+                        } else {
+                            crate::flags::FlagOutcome::FaultDetected
+                        },
+                        None,
+                        now,
+                    );
+                }
                 breaches.into_iter().map(|b| b.violation.var).collect()
             };
             // Notify only on breach *transitions* — a saturated host must

@@ -77,24 +77,29 @@ impl std::error::Error for DgsplError {}
 impl Dgspl {
     /// Build from a collection of fresh DLSPs: every **running** service
     /// on every profiled host becomes an entry. `power_of` maps a model
-    /// string + CPU count to total compute power.
-    pub fn from_dlsps<F>(dlsps: &[Dlsp], generated_at_secs: u64, power_of: F) -> Dgspl
+    /// string + CPU count to total compute power; it is asked once per
+    /// host that has a running service.
+    pub fn from_dlsps<'a, I, F>(dlsps: I, generated_at_secs: u64, power_of: F) -> Dgspl
     where
+        I: IntoIterator<Item = &'a Dlsp>,
         F: Fn(&str, u32) -> f64,
     {
         let mut entries = Vec::new();
         for d in dlsps {
+            let mut compute_power = None;
             for s in &d.services {
                 if s.status != "running" {
                     continue;
                 }
+                let compute_power =
+                    *compute_power.get_or_insert_with(|| power_of(&d.model, d.cpus));
                 entries.push(DgsplEntry {
                     hostname: d.hostname.clone(),
                     server_type: d.model.clone(),
                     os: d.os.clone(),
                     ram_gb: d.ram_gb,
                     cpus: d.cpus,
-                    compute_power: power_of(&d.model, d.cpus),
+                    compute_power,
                     app_type: s.app_type.clone(),
                     version: s.version.clone(),
                     load: d.load_score,

@@ -163,13 +163,20 @@ impl FlatRecord {
         &self.fields
     }
 
-    /// Serialise to one line.
+    /// Serialise to one line, rendered into a single buffer sized for
+    /// the unescaped fields.
     pub fn to_line(&self) -> String {
-        self.fields
-            .iter()
-            .map(|(k, v)| format!("{}={}", escape(k), escape(v)))
-            .collect::<Vec<_>>()
-            .join("|")
+        let len: usize = self.fields.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+        let mut out = String::with_capacity(len);
+        for (i, (k, v)) in self.fields.iter().enumerate() {
+            if i > 0 {
+                out.push('|');
+            }
+            out.push_str(&escape(k));
+            out.push('=');
+            out.push_str(&escape(v));
+        }
+        out
     }
 
     /// Parse one line (caller strips comments/blank lines).
@@ -229,7 +236,8 @@ impl FlatDoc {
 
     /// Serialise to the ASCII lines of the file.
     pub fn to_lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
+        let records: usize = self.sections.iter().map(|(_, r)| r.len() + 1).sum();
+        let mut out = Vec::with_capacity(records + 1);
         out.push(format!("%DOC {} v{}", escape(&self.kind), self.version));
         for (name, records) in &self.sections {
             out.push(format!("%SECTION {}", escape(name)));

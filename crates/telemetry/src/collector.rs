@@ -11,6 +11,7 @@
 //! modelled separately for Figures 3–4.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use intelliqos_simkern::{CircularQueue, SimTime, TimeSeries};
 
@@ -49,6 +50,9 @@ pub struct PerfCollector {
     pub log_capacity: usize,
     series: BTreeMap<String, TimeSeries>,
     log: CircularQueue<String>,
+    /// The on-disk log file is known to hold exactly `log`, so the next
+    /// sample can update it in place instead of rewriting it.
+    disk_in_sync: bool,
     breaches: Vec<Breach>,
 }
 
@@ -67,6 +71,7 @@ impl PerfCollector {
             log_capacity,
             series: BTreeMap::new(),
             log: CircularQueue::new(log_capacity.max(1)),
+            disk_in_sync: false,
             breaches: Vec::new(),
         }
     }
@@ -87,24 +92,39 @@ impl PerfCollector {
     ) -> Vec<Breach> {
         // Series, timestamp-ordered.
         for (name, &value) in snapshot {
-            self.series
-                .entry(name.clone())
-                .or_default()
-                .push(now, value);
+            match self.series.get_mut(name.as_str()) {
+                Some(series) => series.push(now, value),
+                None => {
+                    let mut series = TimeSeries::default();
+                    series.push(now, value);
+                    self.series.insert(name.clone(), series);
+                }
+            }
         }
         // One ASCII log line per sample: "ts k=v k=v …" — the flat
         // format the paper's operators could grep.
-        let mut line = format!("t={}", now.as_secs());
+        let mut line = String::with_capacity(16 + 24 * snapshot.len());
+        let _ = write!(line, "t={}", now.as_secs());
         for (name, value) in snapshot {
-            line.push_str(&format!(" {name}={value:.3}"));
+            let _ = write!(line, " {name}={value:.3}");
         }
-        self.log.push(line);
-        // Rewrite the circular file (oldest → newest window).
-        let lines: Vec<String> = self.log.iter().cloned().collect();
-        // A full /logs filesystem makes this write fail — that is a real
-        // fault the resource agent must notice; the collector itself
-        // soldiers on with its in-memory window.
-        let _ = server.fs.write(self.log_path(), lines, now);
+        self.log.push(line.clone());
+        // Keep the circular file equal to the window (oldest → newest):
+        // in place while the file is known to match, else a full
+        // rewrite. A full /logs filesystem makes the write fail — that
+        // is a real fault the resource agent must notice; the collector
+        // itself soldiers on with its in-memory window.
+        let path = self.log_path();
+        let in_place = self.disk_in_sync
+            && server
+                .fs
+                .push_rotating(&path, line, self.log.capacity(), now)
+                .is_ok();
+        self.disk_in_sync = in_place
+            || server
+                .fs
+                .write(path, self.log.iter().cloned().collect(), now)
+                .is_ok();
         // Threshold checks.
         let violations = self.thresholds.check(snapshot);
         let breaches: Vec<Breach> = violations
@@ -248,6 +268,71 @@ mod tests {
         // on-disk write failed.
         assert_eq!(breaches.len(), 1);
         assert_eq!(c.log_lines().len(), 1);
+    }
+
+    #[test]
+    fn disk_log_tracks_the_window_through_failures() {
+        let mut c = collector(4);
+        let mut s = server();
+        s.fs.add_mount("/logs", 4096);
+        let path = c.log_path();
+        let mut t = 0i32;
+        let mut sample = |c: &mut PerfCollector, s: &mut Server| {
+            t += 1;
+            // Each line is one digit longer than the one before.
+            let snap = snapshot(&[("run_queue", 0.5), ("cpu_idle_pct", 10f64.powi(t))]);
+            c.ingest(&snap, s, SimTime::from_mins(t as u64));
+        };
+        let on_disk = |s: &Server| -> Vec<String> { s.fs.read(&path).unwrap().lines.clone() };
+        let files_size = |s: &Server| -> u64 {
+            s.fs.list("/logs")
+                .iter()
+                .map(|p| s.fs.read(p).unwrap().size_bytes())
+                .sum()
+        };
+        for _ in 0..6 {
+            sample(&mut c, &mut s);
+            assert_eq!(on_disk(&s), c.log_lines());
+        }
+        // Fill /logs: the samples that follow fail with NoSpace and the
+        // file falls behind the window.
+        let filler = "f".repeat(1000);
+        while s
+            .fs
+            .append("/logs/filler", filler.clone(), SimTime::ZERO)
+            .is_ok()
+        {}
+        let line = "g".repeat(3);
+        while s
+            .fs
+            .append("/logs/filler", line.clone(), SimTime::ZERO)
+            .is_ok()
+        {}
+        sample(&mut c, &mut s);
+        sample(&mut c, &mut s);
+        assert_ne!(on_disk(&s), c.log_lines());
+        assert_eq!(s.fs.used_bytes("/logs"), Some(files_size(&s)));
+        // Rotation frees the space; the next sample rewrites the file.
+        s.fs.remove("/logs/filler").unwrap();
+        sample(&mut c, &mut s);
+        assert_eq!(on_disk(&s), c.log_lines());
+        // An unmount hides the file; samples taken meanwhile reach the
+        // disk only through the rewrite after the remount.
+        s.fs.set_mounted("/logs", false);
+        sample(&mut c, &mut s);
+        s.fs.set_mounted("/logs", true);
+        assert_ne!(on_disk(&s), c.log_lines());
+        sample(&mut c, &mut s);
+        assert_eq!(on_disk(&s), c.log_lines());
+        // A deleted file is recreated whole.
+        s.fs.remove(&path).unwrap();
+        sample(&mut c, &mut s);
+        for _ in 0..5 {
+            assert_eq!(on_disk(&s), c.log_lines());
+            assert_eq!(s.fs.used_bytes("/logs"), Some(files_size(&s)));
+            sample(&mut c, &mut s);
+        }
+        assert_eq!(c.log_lines().len(), 4);
     }
 
     #[test]

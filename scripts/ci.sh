@@ -32,6 +32,13 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== perfbench self-tests and site-agents smoke (digest rerun check)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# The run checks its outputs (a rerun of the first world must reproduce
+# its digest) and reports the verdict as "correct" in its last line.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload site-agents --seed 1 --seconds 3 --trace 0 | grep '"correct": true' > /dev/null
+
 echo "== evidence smoke (fig2_downtime --profile --trace, ontology_check)"
 rm -rf results/evidence
 # The committed results/BENCH_fig2.json comes from a 30-day profile

@@ -310,3 +310,22 @@ fn tape_is_pinned() {
     assert_eq!(format!("{:016x}", tape_digest(&site)), "bb94c36034da2d41");
     assert_eq!(format!("{:016x}", tape_digest(&manual)), "283d668100803bab");
 }
+
+/// Self-maintenance keeps every agent's flag directory to the latest
+/// run: after a day of sweeps no up server holds more than one flag per
+/// agent, the performance agent included.
+#[test]
+fn agents_keep_one_flag_per_directory() {
+    let mut w = World::build(small(5, ManagementMode::Intelliagents));
+    w.run_until(SimTime::from_days(1));
+    let mut checked = 0;
+    for server in w.servers.values().filter(|s| s.is_up()) {
+        for kind in intelliqos::core::agents::AgentKind::ALL {
+            let dir = intelliqos::core::flags::agent_dir(kind.name());
+            let n = server.fs.list(&dir).len();
+            assert!(n <= 1, "{} holds {n} flags in {dir}", server.hostname);
+            checked += n;
+        }
+    }
+    assert!(checked > 0, "no flags written at all");
+}
